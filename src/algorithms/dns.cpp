@@ -81,7 +81,8 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
   // so no two messages ever contend for a processor.
   machine.begin_phase("move-a");
   for (std::size_t dbit = 1; dbit < r; dbit <<= 1) {
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
+    msgs.reserve(p / 2);
     for (std::size_t j = 0; j < r; ++j) {
       for (std::size_t t = 0; t < r; ++t) {
         if ((t & dbit) == 0) continue;
@@ -104,7 +105,7 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
         for (std::size_t u = 0; u < m; ++u) {
           for (std::size_t v = 0; v < m; ++v) {
             const ProcId dst = rank(cur, j, t, u, v);
-            a_elem[dst] = std::move(machine.receive(dst, kTagMoveA).blocks.front());
+            a_elem[dst] = std::move(machine.receive(dst, kTagMoveA).payload);
           }
         }
       }
@@ -117,7 +118,8 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
   // --- Stage 1b: same for B, from (0, t, k) to (t, t, k).
   machine.begin_phase("move-b");
   for (std::size_t dbit = 1; dbit < r; dbit <<= 1) {
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
+    msgs.reserve(p / 2);
     for (std::size_t t = 0; t < r; ++t) {
       if ((t & dbit) == 0) continue;
       const std::size_t cur = t & (dbit - 1);
@@ -140,7 +142,7 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
         for (std::size_t u = 0; u < m; ++u) {
           for (std::size_t v = 0; v < m; ++v) {
             const ProcId dst = rank(cur, t, k, u, v);
-            b_elem[dst] = std::move(machine.receive(dst, kTagMoveB).blocks.front());
+            b_elem[dst] = std::move(machine.receive(dst, kTagMoveB).payload);
           }
         }
       }
@@ -152,14 +154,15 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
 
   // --- Stage 1c: broadcast A along k-lines: (i, j, i) -> (i, j, *).
   // Superprocessor (i, j, k) must hold A block (j, i), element [u][v].
+  std::vector<ProcId> group;  // one line of r processors, reused per line
+  group.reserve(r);
   if (r > 1) {
     machine.begin_phase("broadcast-a");
     for (std::size_t i = 0; i < r; ++i) {
       for (std::size_t j = 0; j < r; ++j) {
         for (std::size_t u = 0; u < m; ++u) {
           for (std::size_t v = 0; v < m; ++v) {
-            std::vector<ProcId> group;
-            group.reserve(r);
+            group.clear();
             for (std::size_t k = 0; k < r; ++k) group.push_back(rank(i, j, k, u, v));
             auto copies = broadcast_binomial(machine, group, i, kTagBcastA,
                                              std::move(a_elem[group[i]]));
@@ -178,8 +181,7 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
       for (std::size_t k = 0; k < r; ++k) {
         for (std::size_t u = 0; u < m; ++u) {
           for (std::size_t v = 0; v < m; ++v) {
-            std::vector<ProcId> group;
-            group.reserve(r);
+            group.clear();
             for (std::size_t j = 0; j < r; ++j) group.push_back(rank(i, j, k, u, v));
             auto copies = broadcast_binomial(machine, group, i, kTagBcastB,
                                              std::move(b_elem[group[i]]));
@@ -213,7 +215,9 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
   if (m > 1) {
     // Alignment: element (u, v) of A moves left by u; of B moves up by v.
     PhaseScope scope(machine, "align");
-    std::vector<Message> align_a, align_b;
+    std::vector<Message> align_a = machine.message_buffer(), align_b;
+    align_a.reserve(p);
+    align_b.reserve(p);
     for_all_superprocs([&](std::size_t i, std::size_t j, std::size_t k) {
       for (std::size_t u = 0; u < m; ++u) {
         for (std::size_t v = 0; v < m; ++v) {
@@ -237,21 +241,22 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
         for (std::size_t v = 0; v < m; ++v) {
           const ProcId pid = rank(i, j, k, u, v);
           if (u != 0) {
-            a_elem[pid] = std::move(machine.receive(pid, kTagAlignA).blocks.front());
+            a_elem[pid] = std::move(machine.receive(pid, kTagAlignA).payload);
           }
           if (v != 0) {
-            b_elem[pid] = std::move(machine.receive(pid, kTagAlignB).blocks.front());
+            b_elem[pid] = std::move(machine.receive(pid, kTagAlignB).payload);
           }
         }
       }
     });
   }
 
+  std::vector<SimMachine::ComputeProduct> phase;
+  phase.reserve(p);
   for (std::size_t step = 0; step < m; ++step) {
-    std::vector<SimMachine::ComputeTask> phase;
-    phase.reserve(p);
+    phase.clear();
     for (ProcId pid = 0; pid < p; ++pid) {
-      phase.push_back({pid, &c_elem[pid], {{&a_elem[pid], &b_elem[pid]}}});
+      phase.push_back({pid, &c_elem[pid], &a_elem[pid], &b_elem[pid]});
     }
     {
       PhaseScope scope(machine, "multiply");
@@ -259,7 +264,9 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     }
     if (step + 1 == m) break;
     PhaseScope scope(machine, "shift");
-    std::vector<Message> shift_a, shift_b;
+    std::vector<Message> shift_a = machine.message_buffer(), shift_b;
+    shift_a.reserve(p);
+    shift_b.reserve(p);
     for_all_superprocs([&](std::size_t i, std::size_t j, std::size_t k) {
       for (std::size_t u = 0; u < m; ++u) {
         for (std::size_t v = 0; v < m; ++v) {
@@ -274,8 +281,8 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     machine.exchange(std::move(shift_a));
     machine.exchange(std::move(shift_b));
     for (ProcId pid = 0; pid < p; ++pid) {
-      a_elem[pid] = std::move(machine.receive(pid, kTagShiftA).blocks.front());
-      b_elem[pid] = std::move(machine.receive(pid, kTagShiftB).blocks.front());
+      a_elem[pid] = std::move(machine.receive(pid, kTagShiftA).payload);
+      b_elem[pid] = std::move(machine.receive(pid, kTagShiftB).payload);
     }
   }
 
@@ -289,10 +296,9 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     for (std::size_t k = 0; k < r; ++k) {
       for (std::size_t u = 0; u < m; ++u) {
         for (std::size_t v = 0; v < m; ++v) {
-          std::vector<ProcId> group;
           std::vector<Matrix> contribs;
-          group.reserve(r);
           contribs.reserve(r);
+          group.clear();
           for (std::size_t i = 0; i < r; ++i) {
             group.push_back(rank(i, j, k, u, v));
             contribs.push_back(std::move(c_elem[rank(i, j, k, u, v)]));

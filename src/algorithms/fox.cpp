@@ -82,7 +82,7 @@ void FoxAlgorithm::pipelined_row_broadcast(SimMachine& machine,
         if (j >= packets) continue;
         const ProcId dst = torus.rank(i, (root_col + d + 1) % sp);
         packet_store[dst][j] =
-            std::move(machine.receive(dst, kTagPacket).blocks.front());
+            std::move(machine.receive(dst, kTagPacket).payload);
       }
     }
   }
@@ -160,13 +160,12 @@ MatmulResult FoxAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     machine.synchronize();
     machine.end_phase();
     // Multiply the broadcast A block with the resident B block.
-    std::vector<SimMachine::ComputeTask> phase;
+    std::vector<SimMachine::ComputeProduct> phase;
     phase.reserve(p);
     for (std::size_t i = 0; i < sp; ++i) {
       for (std::size_t j = 0; j < sp; ++j) {
-        phase.push_back({rank(i, j),
-                         &c_blk[i * sp + j],
-                         {{&received[rank(i, j)], &b_blk[i * sp + j]}}});
+        phase.push_back({rank(i, j), &c_blk[i * sp + j],
+                         &received[rank(i, j)], &b_blk[i * sp + j]});
       }
     }
     {
@@ -188,7 +187,7 @@ MatmulResult FoxAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     for (std::size_t i = 0; i < sp; ++i) {
       for (std::size_t j = 0; j < sp; ++j) {
         b_blk[i * sp + j] =
-            std::move(machine.receive(rank(i, j), kTagShiftB).blocks.front());
+            std::move(machine.receive(rank(i, j), kTagShiftB).payload);
       }
     }
   }

@@ -151,7 +151,8 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
       return;
     }
     if (interconnect_ == Interconnect::kFullyConnected) {
-      std::vector<Message> msgs;
+      std::vector<Message> msgs = machine.message_buffer();
+      msgs.reserve(s * (s - 1));
       for (std::size_t other = 0; other < s; ++other) {
         for (std::size_t t = 1; t < s; ++t) {
           const ProcId src = target_is_k ? rank(0, other, t) : rank(0, t, other);
@@ -163,13 +164,14 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
       for (std::size_t other = 0; other < s; ++other) {
         for (std::size_t t = 1; t < s; ++t) {
           const ProcId dst = target_is_k ? rank(t, other, t) : rank(t, t, other);
-          blk[dst] = unguard(std::move(machine.receive(dst, tag).blocks.front()));
+          blk[dst] = unguard(std::move(machine.receive(dst, tag).payload));
         }
       }
       return;
     }
     for (std::size_t dbit = 1; dbit < s; dbit <<= 1) {
-      std::vector<Message> msgs;
+      std::vector<Message> msgs = machine.message_buffer();
+      msgs.reserve(s * s / 2);
       for (std::size_t other = 0; other < s; ++other) {
         for (std::size_t t = 0; t < s; ++t) {
           if ((t & dbit) == 0) continue;
@@ -187,7 +189,7 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
           if ((t & dbit) == 0) continue;
           const std::size_t cur = (t & (dbit - 1)) | dbit;
           const ProcId dst = target_is_k ? rank(cur, other, t) : rank(cur, t, other);
-          blk[dst] = unguard(std::move(machine.receive(dst, tag).blocks.front()));
+          blk[dst] = unguard(std::move(machine.receive(dst, tag).payload));
         }
       }
     }
@@ -208,13 +210,14 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
   }
 
   // --- Stage 1c: broadcast A along k-lines; 1d: broadcast B along j-lines.
+  std::vector<ProcId> group;  // one line of s processors, reused per line
+  group.reserve(s);
   if (s > 1) {
     {
       PhaseScope scope(machine, "broadcast-a");
       for (std::size_t i = 0; i < s; ++i) {
         for (std::size_t j = 0; j < s; ++j) {
-          std::vector<ProcId> group;
-          group.reserve(s);
+          group.clear();
           for (std::size_t k = 0; k < s; ++k) group.push_back(rank(i, j, k));
           std::vector<Matrix> copies;
           if (modeled) {
@@ -235,8 +238,7 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     PhaseScope scope(machine, "broadcast-b");
     for (std::size_t i = 0; i < s; ++i) {
       for (std::size_t k = 0; k < s; ++k) {
-        std::vector<ProcId> group;
-        group.reserve(s);
+        group.clear();
         for (std::size_t j = 0; j < s; ++j) group.push_back(rank(i, j, k));
         std::vector<Matrix> copies;
         if (modeled) {
@@ -257,11 +259,11 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
   // --- Stage 2: every processor multiplies its bn x bn block pair
   // (n^3/p multiply-add units).
   std::vector<Matrix> c_blk(p);
-  std::vector<SimMachine::ComputeTask> phase;
+  std::vector<SimMachine::ComputeProduct> phase;
   phase.reserve(p);
   for (ProcId pid = 0; pid < p; ++pid) {
     c_blk[pid] = Matrix(bn, bn);
-    phase.push_back({pid, &c_blk[pid], {{&a_blk[pid], &b_blk[pid]}}});
+    phase.push_back({pid, &c_blk[pid], &a_blk[pid], &b_blk[pid]});
   }
   {
     PhaseScope scope(machine, "multiply");
@@ -277,10 +279,9 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
   PhaseScope reduce_scope(machine, "reduce");
   for (std::size_t j = 0; j < s; ++j) {
     for (std::size_t k = 0; k < s; ++k) {
-      std::vector<ProcId> group;
       std::vector<Matrix> contribs;
-      group.reserve(s);
       contribs.reserve(s);
+      group.clear();
       for (std::size_t i = 0; i < s; ++i) {
         group.push_back(rank(i, j, k));
         contribs.push_back(std::move(c_blk[rank(i, j, k)]));

@@ -157,18 +157,15 @@ MatmulResult SimpleAlgorithm::run(const Matrix& a, const Matrix& b,
   // n^3/p multiply-add units in total per processor.
   Matrix c(n, n);
   std::vector<Matrix> c_block(p);
-  std::vector<SimMachine::ComputeTask> phase;
-  phase.reserve(p);
+  std::vector<SimMachine::ComputeProduct> phase;
+  phase.reserve(p * sp);
   for (std::size_t i = 0; i < sp; ++i) {
     for (std::size_t j = 0; j < sp; ++j) {
       const ProcId pid = rank(i, j);
       c_block[pid] = Matrix(grid.block_rows(), grid.block_cols());
-      SimMachine::ComputeTask task{pid, &c_block[pid], {}};
-      task.products.reserve(sp);
       for (std::size_t k = 0; k < sp; ++k) {
-        task.products.emplace_back(&row_a[pid][k], &col_b[pid][k]);
+        phase.push_back({pid, &c_block[pid], &row_a[pid][k], &col_b[pid][k]});
       }
-      phase.push_back(std::move(task));
     }
   }
   {

@@ -1,9 +1,23 @@
 #include "machine/params.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace hpmm {
+
+void MachineParams::validate() const {
+  const auto check = [](double value, const char* name) {
+    require(std::isfinite(value) && value >= 0.0, [&] {
+      return std::string(name) + " must be finite and >= 0, got " +
+             format_number(value);
+    });
+  };
+  check(t_s, "t_s (--ts)");
+  check(t_w, "t_w (--tw)");
+  check(t_h, "t_h");
+}
 
 MachineParams MachineParams::with_cpu_speedup(double k) const {
   require(k > 0.0, "with_cpu_speedup: factor must be positive");

@@ -101,6 +101,13 @@ struct MachineParams {
     return t_s + t_h * static_cast<double>(hops) + t_w * words;
   }
 
+  /// Throws PreconditionError unless t_s, t_w and t_h are finite and >= 0
+  /// (a NaN or negative cost would give meaningless clocks that every
+  /// comparison downstream silently accepts). The message names the
+  /// parameter and its CLI flag, e.g. "t_w (--tw) must be finite and >= 0,
+  /// got nan". Every SimMachine validates its parameters on construction.
+  void validate() const;
+
   /// Copy of these parameters with processors k times faster: communication
   /// costs grow k-fold relative to the (new, smaller) unit of computation
   /// (Section 8).

@@ -7,11 +7,48 @@
 
 namespace hpmm {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+Matrix::Matrix(std::size_t rows, std::size_t cols) : Matrix(rows, cols, 0.0) {}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill_value)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill_value) {}
+    : rows_(rows), cols_(cols) {
+  if (size() > kInline) heap_ = new double[size()];
+  fill(fill_value);
+}
+
+Matrix::Matrix(const Matrix& other) : rows_(other.rows_), cols_(other.cols_) {
+  if (other.heap_ != nullptr) heap_ = new double[size()];
+  std::copy_n(other.elems(), size(), elems());
+}
+
+Matrix& Matrix::operator=(const Matrix& other) {
+  if (this == &other) return *this;
+  // An equal-sized heap array is overwritten in place; otherwise the
+  // storage is replaced (allocated first, so a throw leaves *this intact).
+  if (heap_ == nullptr || size() != other.size()) {
+    double* fresh = other.heap_ != nullptr ? new double[other.size()] : nullptr;
+    delete[] heap_;
+    heap_ = fresh;
+  }
+  rows_ = other.rows_;
+  cols_ = other.cols_;
+  std::copy_n(other.elems(), size(), elems());
+  return *this;
+}
+
+void Matrix::take(Matrix& other) noexcept {
+  rows_ = other.rows_;
+  cols_ = other.cols_;
+  heap_ = other.heap_;
+  if (heap_ == nullptr) std::copy_n(other.inline_, size(), inline_);
+  other.rows_ = 0;
+  other.cols_ = 0;
+  other.heap_ = nullptr;
+}
+
+bool operator==(const Matrix& a, const Matrix& b) noexcept {
+  return a.rows_ == b.rows_ && a.cols_ == b.cols_ &&
+         std::equal(a.elems(), a.elems() + a.size(), b.elems());
+}
 
 double& Matrix::at(std::size_t r, std::size_t c) {
   require(r < rows_ && c < cols_, "Matrix::at: index out of range");
@@ -23,21 +60,23 @@ double Matrix::at(std::size_t r, std::size_t c) const {
   return (*this)(r, c);
 }
 
-void Matrix::fill(double value) noexcept {
-  std::fill(data_.begin(), data_.end(), value);
-}
+void Matrix::fill(double value) noexcept { std::fill_n(elems(), size(), value); }
 
 Matrix& Matrix::operator+=(const Matrix& other) {
   require(rows_ == other.rows_ && cols_ == other.cols_,
           "Matrix::operator+=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  double* dst = elems();
+  const double* src = other.elems();
+  for (std::size_t i = 0; i < size(); ++i) dst[i] += src[i];
   return *this;
 }
 
 Matrix& Matrix::operator-=(const Matrix& other) {
   require(rows_ == other.rows_ && cols_ == other.cols_,
           "Matrix::operator-=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
+  double* dst = elems();
+  const double* src = other.elems();
+  for (std::size_t i = 0; i < size(); ++i) dst[i] -= src[i];
   return *this;
 }
 

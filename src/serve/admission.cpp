@@ -100,9 +100,10 @@ ServeOutcome AdmissionController::try_admit(const std::string& tenant,
 
 void AdmissionController::on_final(const std::string& tenant, double now,
                                    bool success) {
-  require(in_flight_ > 0 && tenant_in_flight_[tenant] > 0,
-          "AdmissionController::on_final: tenant '" + tenant +
-              "' has no admitted request in flight");
+  require(in_flight_ > 0 && tenant_in_flight_[tenant] > 0, [&] {
+    return "AdmissionController::on_final: tenant '" + tenant +
+           "' has no admitted request in flight";
+  });
   --in_flight_;
   --tenant_in_flight_[tenant];
   CircuitBreaker& breaker = breaker_for(tenant);

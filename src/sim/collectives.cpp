@@ -44,7 +44,7 @@ std::vector<Matrix> broadcast_binomial(SimMachine& machine,
   // payload and ships it to v + 2^s, doubling the informed set each round.
   const unsigned rounds = tree_rounds(g);
   for (unsigned s = 0; s < rounds; ++s) {
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
     const std::size_t half = std::size_t{1} << s;
     msgs.reserve(half);
     for (std::size_t v = 0; v < half; ++v) {
@@ -61,7 +61,7 @@ std::vector<Matrix> broadcast_binomial(SimMachine& machine,
       const std::size_t peer = v + half;
       if (peer >= g) continue;
       const std::size_t to = vrank_to_pos(peer, root_pos, g);
-      result[to] = std::move(machine.receive(group[to], tag).blocks.front());
+      result[to] = std::move(machine.receive(group[to], tag).payload);
       if (on_receive) on_receive(result[to]);
     }
   }
@@ -84,22 +84,20 @@ Matrix reduce_binomial(SimMachine& machine, std::span<const ProcId> group,
   // bits clear) sends its partial sum to vrank v - 2^s.
   for (unsigned s = 0; s < rounds; ++s) {
     const std::size_t bit = std::size_t{1} << s;
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
     msgs.reserve(g / (2 * bit) + 1);
-    std::vector<std::size_t> receivers;
-    receivers.reserve(g / (2 * bit) + 1);
     for (std::size_t v = bit; v < g; v += 2 * bit) {
       const std::size_t from = vrank_to_pos(v, root_pos, g);
       const std::size_t to = vrank_to_pos(v - bit, root_pos, g);
       msgs.emplace_back(group[from], group[to], tag,
                         std::move(contributions[from]));
-      receivers.push_back(to);
     }
     if (msgs.empty()) continue;
     machine.exchange(std::move(msgs));
-    for (std::size_t to : receivers) {
+    for (std::size_t v = bit; v < g; v += 2 * bit) {
+      const std::size_t to = vrank_to_pos(v - bit, root_pos, g);
       Message m = machine.receive(group[to], tag);
-      Matrix& partial = m.blocks.front();
+      Matrix& partial = m.payload;
       if (on_receive) on_receive(partial);
       contributions[to] += partial;
       if (add_cost_per_word > 0.0) {
@@ -127,7 +125,7 @@ std::vector<std::vector<Matrix>> all_to_all_ring(
     in_flight[pos] = std::move(contributions[pos]);
   }
   for (std::size_t step = 1; step < g; ++step) {
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
     msgs.reserve(g);
     for (std::size_t pos = 0; pos < g; ++pos) {
       const std::size_t to = (pos + 1) % g;
@@ -139,8 +137,8 @@ std::vector<std::vector<Matrix>> all_to_all_ring(
       // After `step` forwards, position pos holds the block contributed by
       // (pos - step + g) mod g.
       const std::size_t origin = (pos + g - step) % g;
-      result[pos][origin] = m.blocks.front();
-      in_flight[pos] = std::move(m.blocks.front());
+      result[pos][origin] = m.payload;
+      in_flight[pos] = std::move(m.payload);
     }
   }
   return result;
@@ -162,7 +160,7 @@ std::vector<std::vector<Matrix>> all_to_all_recursive_doubling(
   const unsigned rounds = exact_log2(g);
   for (unsigned s = 0; s < rounds; ++s) {
     const std::size_t bit = std::size_t{1} << s;
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
     msgs.reserve(g);
     for (std::size_t pos = 0; pos < g; ++pos) {
       const std::size_t peer = pos ^ bit;
@@ -176,8 +174,8 @@ std::vector<std::vector<Matrix>> all_to_all_recursive_doubling(
       Message m = machine.receive(group[pos], tag);
       const std::size_t peer = pos ^ bit;
       // Peer's accumulated set has the same origin order as acc[peer].
-      for (std::size_t i = 0; i < m.blocks.size(); ++i) {
-        acc[pos].emplace_back(acc[peer][i].first, std::move(m.blocks[i]));
+      for (std::size_t i = 0; i < m.block_count(); ++i) {
+        acc[pos].emplace_back(acc[peer][i].first, std::move(m.block(i)));
       }
     }
   }
@@ -214,7 +212,7 @@ std::vector<Matrix> reduce_scatter_halving(SimMachine& machine,
   std::vector<Matrix> work = std::move(contributions);
   std::vector<std::size_t> row_lo(g, 0);
   for (std::size_t bit = g >> 1; bit >= 1; bit >>= 1) {
-    std::vector<Message> msgs;
+    std::vector<Message> msgs = machine.message_buffer();
     msgs.reserve(g);
     std::vector<Matrix> kept(g);
     for (std::size_t pos = 0; pos < g; ++pos) {
@@ -232,7 +230,7 @@ std::vector<Matrix> reduce_scatter_halving(SimMachine& machine,
     machine.exchange(std::move(msgs));
     for (std::size_t pos = 0; pos < g; ++pos) {
       Message m = machine.receive(group[pos], tag);
-      kept[pos] += m.blocks.front();
+      kept[pos] += m.payload;
       if (add_cost_per_word > 0.0) {
         machine.compute(group[pos], add_cost_per_word *
                                         static_cast<double>(kept[pos].size()));

@@ -177,7 +177,8 @@ std::size_t FaultInjector::corrupt_word_index(const Message& m,
 
 void corrupt_message_word(Message& m, std::size_t word_index) {
   std::size_t remaining = word_index;
-  for (auto& block : m.blocks) {
+  for (std::size_t i = 0; i < m.block_count(); ++i) {
+    Matrix& block = m.block(i);
     if (remaining >= block.size()) {
       remaining -= block.size();
       continue;

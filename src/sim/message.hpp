@@ -6,6 +6,7 @@
 
 #include "matrix/matrix.hpp"
 #include "topology/topology.hpp"
+#include "util/error.hpp"
 
 namespace hpmm {
 
@@ -26,24 +27,43 @@ struct SpanContext {
 /// A point-to-point message: one or more matrix blocks moving from src to
 /// dst in a single transfer. Its cost is t_s + t_w * words() (times hop
 /// factors per the routing model).
+///
+/// The first block is stored inline (`payload`), so a single-block message
+/// (every message but a recursive-doubling gather's) owns no heap container
+/// of its own; blocks 2..k of a multi-block message spill into `extra`.
 struct Message {
   ProcId src = 0;
   ProcId dst = 0;
   int tag = 0;
   SpanContext span;
-  std::vector<Matrix> blocks;
+  Matrix payload;             ///< block 0
+  std::vector<Matrix> extra;  ///< blocks 1..k-1; empty for one block
 
   Message() = default;
-  Message(ProcId s, ProcId d, int t, Matrix block) : src(s), dst(d), tag(t) {
-    blocks.push_back(std::move(block));
-  }
+  Message(ProcId s, ProcId d, int t, Matrix block)
+      : src(s), dst(d), tag(t), payload(std::move(block)) {}
+  /// Multi-block message; `bs` must not be empty. Its storage is reused for
+  /// `extra`, so splitting off the first block allocates nothing.
   Message(ProcId s, ProcId d, int t, std::vector<Matrix> bs)
-      : src(s), dst(d), tag(t), blocks(std::move(bs)) {}
+      : src(s), dst(d), tag(t) {
+    require(!bs.empty(), "Message: a message carries at least one block");
+    payload = std::move(bs.front());
+    bs.erase(bs.begin());
+    extra = std::move(bs);
+  }
+
+  std::size_t block_count() const noexcept { return 1 + extra.size(); }
+  Matrix& block(std::size_t i) noexcept {
+    return i == 0 ? payload : extra[i - 1];
+  }
+  const Matrix& block(std::size_t i) const noexcept {
+    return i == 0 ? payload : extra[i - 1];
+  }
 
   /// Total words carried (the m of t_s + t_w * m).
   std::size_t words() const noexcept {
-    std::size_t w = 0;
-    for (const auto& b : blocks) w += b.size();
+    std::size_t w = payload.size();
+    for (const auto& b : extra) w += b.size();
     return w;
   }
 };

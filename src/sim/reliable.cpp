@@ -22,11 +22,12 @@ ReliableOutcome reliable_delivery(const FaultInjector& injector,
 
   double rto = plan.rto_factor * base_cost;
   while (f.dropped) {
-    ensure(out.attempts <= plan.max_retries,
-           "reliable_delivery: message " + std::to_string(m.src) + " -> " +
-               std::to_string(m.dst) + " (tag " + std::to_string(m.tag) +
-               ") presumed lost after " + std::to_string(plan.max_retries) +
-               " retries — drop probability too high for the retry budget");
+    ensure(out.attempts <= plan.max_retries, [&] {
+      return "reliable_delivery: message " + std::to_string(m.src) + " -> " +
+             std::to_string(m.dst) + " (tag " + std::to_string(m.tag) +
+             ") presumed lost after " + std::to_string(plan.max_retries) +
+             " retries — drop probability too high for the retry budget";
+    });
     out.wait += rto;
     rto *= plan.rto_backoff;
     f = injector.fate(m, round, out.attempts, base_cost);

@@ -13,6 +13,7 @@ SimMachine::SimMachine(std::shared_ptr<const Topology> topology,
                        MachineParams params)
     : topology_(std::move(topology)), params_(std::move(params)) {
   require(topology_ != nullptr, "SimMachine: topology must not be null");
+  params_.validate();
   require(params_.exec.threads >= 1, "SimMachine: exec.threads must be >= 1");
   require(params_.trace_sample >= 0.0 && params_.trace_sample <= 1.0,
           "SimMachine: trace_sample must be in [0, 1]");
@@ -191,31 +192,48 @@ void SimMachine::compute_multiply_add(ProcId pid, const Matrix& a,
 }
 
 void SimMachine::compute_multiply_add_batch(
-    const std::vector<ComputeTask>& tasks) {
+    std::span<const ComputeProduct> products) {
   const Kernel kernel = params_.exec.kernel;
-  for (const auto& t : tasks) {
-    require(t.c != nullptr, "compute_multiply_add_batch: null output matrix");
+  std::size_t tasks = 0;
+  for (std::size_t i = 0; i < products.size(); ++i) {
+    const ComputeProduct& t = products[i];
+    require(t.c != nullptr && t.a != nullptr && t.b != nullptr,
+            "compute_multiply_add_batch: null matrix");
     require(t.pid < procs(), "compute_multiply_add_batch: pid out of range");
+    if (i > 0 && products[i - 1].c == t.c) {
+      require(products[i - 1].pid == t.pid,
+              "compute_multiply_add_batch: one output, two pids");
+    } else {
+      ++tasks;
+    }
   }
   // Numerics first: tasks touch disjoint outputs, so they run concurrently
-  // across the pool. A single task instead threads inside the kernel.
-  const auto run_task = [&](const ComputeTask& t, ThreadPool* pool) {
-    for (const auto& [a, b] : t.products) multiply_add(*a, *b, *t.c, kernel, pool);
+  // across the pool, each from its first product through its run. A single
+  // task instead threads inside the kernel.
+  const auto run_task = [&](std::size_t first, ThreadPool* pool) {
+    Matrix& c = *products[first].c;
+    for (std::size_t i = first; i < products.size() && products[i].c == &c; ++i) {
+      multiply_add(*products[i].a, *products[i].b, c, kernel, pool);
+    }
   };
-  if (pool_ != nullptr && tasks.size() > 1) {
-    pool_->parallel_for(tasks.size(),
-                        [&](std::size_t i) { run_task(tasks[i], nullptr); });
+  const auto task_start = [&](std::size_t i) {
+    return i == 0 || products[i - 1].c != products[i].c;
+  };
+  if (pool_ != nullptr && tasks > 1) {
+    pool_->parallel_for(products.size(), [&](std::size_t i) {
+      if (task_start(i)) run_task(i, nullptr);
+    });
   } else {
-    for (const auto& t : tasks) run_task(t, pool_.get());
+    for (std::size_t i = 0; i < products.size(); ++i) {
+      if (task_start(i)) run_task(i, pool_.get());
+    }
   }
   // Virtual-time accounting: serial and order-preserving — one charge per
   // product, exactly like the equivalent compute_multiply_add sequence
   // (same clocks, same trace events, ProcessorFailure at the same point).
-  for (const auto& t : tasks) {
-    for (const auto& [a, b] : t.products) {
-      compute(t.pid,
-              static_cast<double>(matmul_flops(a->rows(), a->cols(), b->cols())));
-    }
+  for (const ComputeProduct& t : products) {
+    compute(t.pid, static_cast<double>(
+                       matmul_flops(t.a->rows(), t.a->cols(), t.b->cols())));
   }
 }
 
@@ -499,9 +517,9 @@ void SimMachine::exchange(std::vector<Message> messages) {
         phase_cell(cur, pid).idle_time += rs.arrival_max[pid] - next;
         // The wait ends at the arrival: pid's clock is now explained by the
         // producing chain, not by what pid did this round.
-        if (rs.arrival_msg[pid] != kNoMessage) {
-          chain_[pid] = std::move(rs.adopted[k]);
-        }
+        // Swap rather than move, so the scratch keeps a buffer to copy
+        // the next round's chain into.
+        if (rs.arrival_msg[pid] != kNoMessage) chain_[pid].swap(rs.adopted[k]);
       }
       if (rs.arrival_msg[pid] != kNoMessage && causal_on(pid)) {
         // The transfer span is the cross-processor edge: its pred is the
@@ -533,6 +551,8 @@ void SimMachine::exchange(std::vector<Message> messages) {
     if (rs.deliver_dup[i]) inbox_push(dst, Message(messages[i]));
     inbox_push(dst, std::move(messages[i]));
   }
+  messages.clear();
+  spare_messages_ = std::move(messages);
 }
 
 void SimMachine::inbox_push(ProcId dst, Message&& m) {
@@ -573,9 +593,8 @@ Message SimMachine::receive(ProcId pid, int tag) {
       inbox_slots_[prev].next = next;
     }
     if (inbox_tail_[pid] == s) inbox_tail_[pid] = prev;
-    // Release the payload's heap blocks now (the moved-from state may keep
-    // capacity) and recycle the slot.
-    inbox_slots_[s].msg = Message{};
+    // Recycle the slot. The move above already emptied it: a moved-from
+    // Matrix is 0x0 and a moved-from vector owns no storage.
     inbox_slots_[s].next = inbox_free_;
     inbox_free_ = s;
     --pending_;
@@ -776,11 +795,9 @@ std::uint64_t SimMachine::approx_footprint_bytes() const noexcept {
   std::uint64_t total = sizeof(*this);
   total += vec_bytes(stats_);
   total += vec_bytes(inbox_head_) + vec_bytes(inbox_tail_);
-  total += vec_bytes(inbox_slots_);
+  total += vec_bytes(inbox_slots_) + vec_bytes(spare_messages_);
   for (const auto& slot : inbox_slots_) {
-    for (const auto& block : slot.msg.blocks) {
-      total += static_cast<std::uint64_t>(block.size()) * sizeof(double);
-    }
+    total += static_cast<std::uint64_t>(slot.msg.words()) * sizeof(double);
   }
   total += vec_bytes(trace_events_);
   total += vec_bytes(phase_totals_);

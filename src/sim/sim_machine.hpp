@@ -79,30 +79,40 @@ class SimMachine {
   void compute_multiply_add(ProcId pid, const Matrix& a, const Matrix& b,
                             Matrix& c, Kernel kernel);
 
-  /// One virtual processor's deferred local compute phase:
-  /// C += sum_i A_i * B_i, the products applied in order (the summation
-  /// order is part of the numerical contract).
-  struct ComputeTask {
+  /// One product of a deferred local compute phase: C += A * B on pid.
+  /// A phase is one flat list of these; a maximal run of consecutive
+  /// entries with the same output C is one virtual processor's task,
+  /// applied in list order (the summation order is part of the numerical
+  /// contract).
+  struct ComputeProduct {
     ProcId pid = 0;
     Matrix* c = nullptr;
-    std::vector<std::pair<const Matrix*, const Matrix*>> products;
+    const Matrix* a = nullptr;
+    const Matrix* b = nullptr;
   };
 
-  /// Run a whole compute phase — one task per virtual processor, outputs
-  /// disjoint — and charge each pid exactly as the equivalent sequence of
-  /// compute_multiply_add calls would, in task order. The real numerics run
-  /// concurrently on the host thread pool when exec.threads > 1 (virtual
-  /// processors are independent between communication rounds), but the
-  /// virtual-time accounting is serial and order-preserving, so simulated
-  /// clocks, counters, traces and results are bit-identical for every
-  /// thread count. ProcessorFailure surfaces exactly where the serial loop
-  /// would raise it; numerics of later tasks may already have run by then,
-  /// which is unobservable because a failed attempt's outputs are discarded.
-  void compute_multiply_add_batch(const std::vector<ComputeTask>& tasks);
+  /// Run a whole compute phase — tasks with disjoint outputs — and charge
+  /// each pid exactly as the equivalent sequence of compute_multiply_add
+  /// calls would, in list order. The real numerics run concurrently on the
+  /// host thread pool when exec.threads > 1 (virtual processors are
+  /// independent between communication rounds), but the virtual-time
+  /// accounting is serial and order-preserving, so simulated clocks,
+  /// counters, traces and results are bit-identical for every thread count.
+  /// ProcessorFailure surfaces exactly where the serial loop would raise it;
+  /// numerics of later tasks may already have run by then, which is
+  /// unobservable because a failed attempt's outputs are discarded.
+  void compute_multiply_add_batch(std::span<const ComputeProduct> products);
 
   /// One synchronous communication round. Port-model constraints are
   /// validated; payloads are delivered to the destinations' inboxes.
   void exchange(std::vector<Message> messages);
+
+  /// An empty message vector for building the next round. It reuses the
+  /// storage of the vector the last exchange() consumed, so a loop of
+  /// rounds built this way stops allocating once the storage is big enough.
+  std::vector<Message> message_buffer() noexcept {
+    return std::exchange(spare_messages_, {});
+  }
 
   /// Pop the (unique) pending message with `tag` from pid's inbox.
   /// Throws PreconditionError if absent.
@@ -324,6 +334,9 @@ class SimMachine {
   };
   static constexpr std::size_t kNoMessage = static_cast<std::size_t>(-1);
   RoundScratch scratch_;
+  /// The last consumed round's (cleared) message vector; see
+  /// message_buffer().
+  std::vector<Message> spare_messages_;
 
   bool tracing_ = false;
   /// trace_sample >= 1: record every processor (no hashing on the hot

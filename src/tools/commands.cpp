@@ -162,6 +162,7 @@ MachineParams base_machine_from_args(const CliArgs& args) {
     MachineParams mp;
     mp.t_s = args.get_double("ts", 150.0);
     mp.t_w = args.get_double("tw", 3.0);
+    mp.validate();
     mp.label = "custom (t_s=" + format_number(mp.t_s) +
                ", t_w=" + format_number(mp.t_w) + ")";
     return mp;

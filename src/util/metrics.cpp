@@ -17,7 +17,9 @@ Histogram::Histogram(std::vector<double> upper_bounds)
     require(bounds_[i] > bounds_[i - 1],
             "Histogram: bucket bounds must be strictly ascending");
   }
-  counts_.assign(bounds_.size() + 1, 0);
+  // resize, not assign(n, 0): GCC 12 reports a false -Warray-bounds on the
+  // inlined assign here.
+  counts_.resize(bounds_.size() + 1);
 }
 
 void Histogram::observe(double v) noexcept {
@@ -194,12 +196,16 @@ std::vector<std::uint64_t> TrafficMatrix::dense() const {
   return out;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
+Counter& MetricsRegistry::counter(std::string_view name) {
+  const auto it = counters_.find(name);
+  if (it != counters_.end()) return it->second;
+  return counters_.emplace(std::string(name), Counter()).first->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  return gauges_[name];
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  const auto it = gauges_.find(name);
+  if (it != gauges_.end()) return it->second;
+  return gauges_.emplace(std::string(name), Gauge()).first->second;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,

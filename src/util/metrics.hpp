@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -176,8 +178,9 @@ class TrafficMatrix {
 class MetricsRegistry {
  public:
   /// Fetch-or-create. References stay valid for the registry's lifetime.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  /// Fetching an existing instrument allocates nothing.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   /// `upper_bounds` applies on first creation only (non-empty, ascending).
   Histogram& histogram(const std::string& name,
                        std::vector<double> upper_bounds);
@@ -207,8 +210,8 @@ class MetricsRegistry {
   void write_json(std::ostream& os) const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, TimeSeries> series_;
 };

@@ -2,10 +2,54 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <string>
+
+#include "sim/sim_machine.hpp"
+#include "topology/hypercube.hpp"
 #include "util/error.hpp"
 
 namespace hpmm {
 namespace {
+
+TEST(MachineParams, ValidateAcceptsPresetsAndZeroCosts) {
+  for (const MachineParams& m :
+       {machines::ncube2(), machines::future_hypercube(), machines::simd_cm2(),
+        machines::cm5_measured(), machines::ideal(), MachineParams{}}) {
+    EXPECT_NO_THROW(m.validate()) << m.label;
+  }
+  MachineParams zero;
+  zero.t_s = zero.t_w = zero.t_h = 0.0;
+  EXPECT_NO_THROW(zero.validate());
+}
+
+TEST(MachineParams, ValidateRejectsNonFiniteOrNegativeCosts) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(), -5.0};
+  for (const double v : bad) {
+    for (int field = 0; field < 3; ++field) {
+      MachineParams m = machines::ncube2();
+      double& slot = field == 0 ? m.t_s : field == 1 ? m.t_w : m.t_h;
+      slot = v;
+      const char* name = field == 0 ? "t_s (--ts)" : field == 1 ? "t_w (--tw)" : "t_h";
+      try {
+        m.validate();
+        ADD_FAILURE() << name << " = " << v << " accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(name) +
+                                             " must be finite and >= 0"),
+                  std::string::npos)
+            << e.what();
+      }
+      // The simulator refuses such a machine up front.
+      EXPECT_THROW(SimMachine(std::make_shared<Hypercube>(2u), m),
+                   PreconditionError)
+          << name << " = " << v;
+    }
+  }
+}
 
 TEST(MachineParams, MessageTimeCutThrough) {
   MachineParams m;

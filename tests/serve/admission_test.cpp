@@ -122,6 +122,26 @@ TEST(AdmissionController, FinalFailuresTripTheTenantBreaker) {
   EXPECT_EQ(ac.try_admit("a", 202.0), ServeOutcome::kOk);
 }
 
+TEST(AdmissionController, FinalWithNothingInFlightNamesTheTenant) {
+  // The error text is assembled only on failure; it must still name the
+  // tenant whose completion had no admitted request behind it.
+  AdmissionController ac(small_config());
+  ASSERT_EQ(ac.try_admit("a", 0.0), ServeOutcome::kOk);
+  try {
+    ac.on_final("ghost", 1.0, true);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("src/serve/admission.cpp:", 0), 0u) << what;
+    EXPECT_NE(what.find("AdmissionController::on_final: tenant 'ghost' has "
+                        "no admitted request in flight"),
+              std::string::npos)
+        << what;
+  }
+  // The failed call released nothing: a's unit is still held.
+  EXPECT_EQ(ac.in_flight(), 1u);
+}
+
 TEST(AdmissionController, BreakerCheckPrecedesQueueAndQuota) {
   // The rejection reason must be deterministic: an open breaker wins even
   // when the queue is also full.

@@ -50,9 +50,9 @@ TEST(ExecPolicy, BatchMatchesSerialCallSequence) {
   }
 
   SimMachine batched(topo, test_params());
-  std::vector<SimMachine::ComputeTask> tasks;
+  std::vector<SimMachine::ComputeProduct> tasks;
   for (std::size_t i = 0; i < p; ++i) {
-    tasks.push_back({static_cast<ProcId>(i), &c_batch[i], {{&a[i], &b[i]}}});
+    tasks.push_back({static_cast<ProcId>(i), &c_batch[i], &a[i], &b[i]});
   }
   batched.compute_multiply_add_batch(tasks);
 
@@ -73,10 +73,17 @@ TEST(ExecPolicy, BatchMatchesSerialCallSequence) {
 TEST(ExecPolicy, BatchValidatesTasks) {
   SimMachine machine(std::make_shared<Hypercube>(2u), test_params());
   Matrix a(2, 2, 1.0), b(2, 2, 1.0), c(2, 2);
-  std::vector<SimMachine::ComputeTask> null_c{{0, nullptr, {{&a, &b}}}};
+  std::vector<SimMachine::ComputeProduct> null_c{{0, nullptr, &a, &b}};
   EXPECT_THROW(machine.compute_multiply_add_batch(null_c), PreconditionError);
-  std::vector<SimMachine::ComputeTask> bad_pid{{99, &c, {{&a, &b}}}};
+  std::vector<SimMachine::ComputeProduct> null_a{{0, &c, nullptr, &b}};
+  EXPECT_THROW(machine.compute_multiply_add_batch(null_a), PreconditionError);
+  std::vector<SimMachine::ComputeProduct> bad_pid{{99, &c, &a, &b}};
   EXPECT_THROW(machine.compute_multiply_add_batch(bad_pid), PreconditionError);
+  // Consecutive products on one output form one task, so they must share
+  // its pid.
+  std::vector<SimMachine::ComputeProduct> split{{0, &c, &a, &b},
+                                                {1, &c, &a, &b}};
+  EXPECT_THROW(machine.compute_multiply_add_batch(split), PreconditionError);
 }
 
 TEST(ExecPolicy, RejectsZeroThreads) {

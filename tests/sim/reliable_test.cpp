@@ -177,6 +177,28 @@ TEST(ReliableDelivery, ExhaustedRetryBudgetIsAnInternalError) {
   EXPECT_THROW(reliable_delivery(inj, m, 1, 10.0), InternalError);
 }
 
+TEST(ReliableDelivery, ExhaustedBudgetMessageNamesTheMessage) {
+  // The error text is assembled only when the budget runs out; it must
+  // still carry the endpoints, the tag and the budget.
+  auto plan = make_plan();
+  plan->drop_prob = 1.0;
+  plan->max_retries = 4;
+  const FaultInjector inj(plan);
+  const Message m(2, 5, 7, payload(4));
+  try {
+    reliable_delivery(inj, m, 1, 10.0);
+    FAIL() << "expected InternalError";
+  } catch (const InternalError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("src/sim/reliable.cpp:", 0), 0u) << what;
+    EXPECT_NE(what.find("reliable_delivery: message 2 -> 5 (tag 7) presumed "
+                        "lost after 4 retries — drop probability too high "
+                        "for the retry budget"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(ReliableDelivery, UnreliableModeGivesUpAfterOneAttempt) {
   auto plan = make_plan();
   plan->drop_prob = 1.0;

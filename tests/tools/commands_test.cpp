@@ -288,6 +288,34 @@ TEST(Cli, InvalidShapeExitsWithCallerError) {
   EXPECT_NE(r.err.find("error:"), std::string::npos);
 }
 
+TEST(Cli, ErrorTextCarriesRepoRelativeSourcePath) {
+  // The source location in error text starts at src/, whatever directory
+  // the repository was built in.
+  const auto r = run({"hpmm", "run", "--algo=gk", "--n=32", "--p=65"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.err.rfind("error: src/algorithms/gk.cpp:", 0), 0u) << r.err;
+  EXPECT_NE(r.err.find("gk: p must be 2^(3q)"), std::string::npos) << r.err;
+}
+
+TEST(Cli, NonFiniteOrNegativeMachineParamsExitOne) {
+  // NaN used to run to completion with T_p = nan and efficiency 1.
+  for (const char* flag : {"--tw=nan", "--tw=inf", "--tw=-5", "--ts=nan",
+                           "--ts=inf", "--ts=-5"}) {
+    const auto r = run({"hpmm", "run", "--algo=gk", "--n=32", "--p=64", flag});
+    EXPECT_EQ(r.code, 1) << flag;
+    const std::string name = std::string(flag).substr(0, 4);  // --ts / --tw
+    EXPECT_NE(r.err.find(name), std::string::npos) << flag << ": " << r.err;
+    EXPECT_NE(r.err.find("must be finite and >= 0"), std::string::npos)
+        << flag << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << flag;
+  }
+  // Zero costs are meaningful (an ideal network) and still accepted.
+  EXPECT_EQ(run({"hpmm", "run", "--algo=gk", "--n=32", "--p=64", "--ts=0",
+                 "--tw=0"})
+                .code,
+            0);
+}
+
 TEST(Cli, ExhaustedRetryBudgetIsAnInternalError) {
   // drop=1 with a tiny retry budget exhausts the reliable protocol, which is
   // an InternalError (bug-or-misconfiguration), mapped to exit 2.
