@@ -1,7 +1,8 @@
 // Serving-mode load generator: drive the `hpmm serve` engine with a seeded
 // multi-tenant workload and the noisy-neighbor chaos scenario, sweeping the
 // host thread count. Reports wall-clock throughput (requests/sec), the plan
-// cache hit rate and per-tenant tail latency, and cross-checks that every
+// cache hit rate, the attempts actually simulated (the rest came from the
+// result memo) and per-tenant tail latency, and cross-checks that every
 // thread count produced a byte-identical serve report (the envelope's
 // determinism contract).
 //
@@ -39,7 +40,10 @@ struct SweepPoint {
   double cache_hit_rate = 0.0;
   std::uint64_t ok = 0, failed = 0, rejected = 0, retries = 0;
   std::uint64_t journal_events = 0;
-  /// Report, journal JSONL and timeline all byte-identical to threads=1.
+  /// Attempts simulated rather than answered by the result memo.
+  std::uint64_t simulated_attempts = 0;
+  /// Report, journal JSONL and timeline all byte-identical to threads=1,
+  /// with the same simulated-attempt count.
   bool deterministic = false;
 };
 
@@ -99,9 +103,11 @@ int main(int argc, char** argv) {
   std::vector<TenantTail> tails;
 
   Table pretty({"scenario", "threads", "req", "wall ms", "req/s",
-                "cache hit", "ok", "fail", "rej", "retry", "identical"});
+                "cache hit", "sims", "ok", "fail", "rej", "retry",
+                "identical"});
   for (const Scenario& sc : scenarios) {
     std::string reference_json, reference_journal, reference_timeline;
+    std::uint64_t reference_sims = 0;
     for (unsigned threads : thread_sweep()) {
       ServeOptions opt;
       opt.threads = threads;
@@ -140,10 +146,12 @@ int main(int argc, char** argv) {
       write_serve_timeline(timeline_os, report.journal, opt.slots);
       const std::string timeline = timeline_os.str();
       pt.journal_events = report.journal.size();
+      pt.simulated_attempts = report.simulated_attempts;
       if (threads == 1) {
         reference_json = json;
         reference_journal = journal;
         reference_timeline = timeline;
+        reference_sims = pt.simulated_attempts;
         for (const auto& [tenant, ts] : report.tenants) {
           tails.push_back({sc.name, tenant, ts.ok,
                            report.latency_quantile(tenant, 0.50),
@@ -152,7 +160,8 @@ int main(int argc, char** argv) {
       }
       pt.deterministic = json == reference_json &&
                          journal == reference_journal &&
-                         timeline == reference_timeline;
+                         timeline == reference_timeline &&
+                         pt.simulated_attempts == reference_sims;
       points.push_back(pt);
 
       pretty.begin_row()
@@ -162,6 +171,7 @@ int main(int argc, char** argv) {
           .add_num(pt.wall_ms, 4)
           .add_num(pt.req_per_sec, 5)
           .add_num(pt.cache_hit_rate, 3)
+          .add_int(static_cast<long long>(pt.simulated_attempts))
           .add_int(static_cast<long long>(pt.ok))
           .add_int(static_cast<long long>(pt.failed))
           .add_int(static_cast<long long>(pt.rejected))
@@ -174,9 +184,9 @@ int main(int argc, char** argv) {
                "===\n\n";
   pretty.print_aligned(std::cout);
   std::cout << "\n'identical' compares the full JSON serve report, the "
-               "event journal JSONL and\nthe timeline export against the "
-               "threads=1 run; anything but 'yes' is a\ndeterminism "
-               "regression.\n\nper-tenant tails (threads=1):\n\n";
+               "event journal JSONL,\nthe timeline export and 'sims' (attempts "
+               "simulated, not memo hits) against\nthe threads=1 run; anything "
+               "but 'yes' is a determinism regression.\n\nper-tenant tails (threads=1):\n\n";
   Table tail_table({"scenario", "tenant", "ok", "p50", "p99"});
   for (const TenantTail& t : tails) {
     tail_table.begin_row()
@@ -203,6 +213,7 @@ int main(int argc, char** argv) {
         << ",\"ok\":" << pt.ok << ",\"failed\":" << pt.failed
         << ",\"rejected\":" << pt.rejected << ",\"retries\":" << pt.retries
         << ",\"journal_events\":" << pt.journal_events
+        << ",\"simulated_attempts\":" << pt.simulated_attempts
         << ",\"deterministic\":" << (pt.deterministic ? "true" : "false")
         << "}";
   }

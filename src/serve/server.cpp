@@ -1,10 +1,14 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <optional>
 #include <queue>
+#include <string_view>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -100,6 +104,49 @@ Attempt simulate_attempt(const TenantRequest& req,
   }
   return out;
 }
+
+/// Result-memo key of a clean attempt (DESIGN.md §11 "Result memo"). With
+/// no fault plan an attempt's outcome depends only on these: simulated
+/// clocks follow (src, dst, words, topology) and never operand values, ABFT
+/// is off, nothing can fail-stop, and a deadline abort fires at a virtual
+/// time the key fixes. The deadline is compared by bit pattern, so the memo
+/// never conflates two budgets that merely print alike.
+struct MemoKey {
+  std::string algorithm;
+  std::size_t n = 0;
+  std::size_t p = 0;
+  std::string machine;  ///< preset name; it fixes the MachineParams
+  std::uint64_t deadline_bits = 0;
+
+  auto operator<=>(const MemoKey&) const = default;
+};
+
+MemoKey memo_key(const TenantRequest& req, const ServicePlan& plan,
+                 double deadline) {
+  return {plan.algorithm, req.n, req.p, req.machine,
+          std::bit_cast<std::uint64_t>(deadline)};
+}
+
+/// The windowed per-tenant serve.series.<tenant>.<what> families.
+enum class Series : std::uint8_t {
+  kArrivals, kOk, kErrors, kFinals, kRetries, kQueueDepth, kInFlight, kCount
+};
+constexpr const char* kSeriesNames[] = {"arrivals", "ok", "errors", "finals",
+                                        "retries", "queue_depth", "in_flight"};
+static_assert(std::size(kSeriesNames) ==
+              static_cast<std::size_t>(Series::kCount));
+
+/// One tenant's metric handles, each resolved the first time the event loop
+/// needs it (so the report's metric set is exactly what the loop touched)
+/// and reused after: std::map nodes are pointer-stable.
+struct TenantState {
+  const std::string* name = nullptr;
+  std::array<TimeSeries*, static_cast<std::size_t>(Series::kCount)> series{};
+  TimeSeries* latency_series = nullptr;
+  Histogram* latency_hist = nullptr;
+  /// Breaker state last journaled for this tenant.
+  CircuitBreaker::State breaker_seen = CircuitBreaker::State::kClosed;
+};
 
 /// Deterministic backoff jitter in [0, 1): a private stream per
 /// (server seed, request, attempt), independent of event order.
@@ -212,10 +259,18 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
 
   std::vector<RequestRecord> records(requests.size());
   std::vector<MachineParams> machine(requests.size());
+  // Each request's tenant, mapped once to its TenantState.
+  std::map<std::string_view, std::size_t> tenant_index;
+  std::vector<TenantState> tenants;
+  std::vector<std::size_t> tenant_of(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     requests[i].id = i;
     records[i].request = requests[i];
     machine[i] = serve_machine_params(requests[i].machine);
+    const auto [it, fresh] =
+        tenant_index.emplace(requests[i].tenant, tenants.size());
+    if (fresh) tenants.push_back({&requests[i].tenant});
+    tenant_of[i] = it->second;
   }
 
   std::vector<Pending> state(requests.size());
@@ -223,48 +278,106 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
                                  opt.breaker_threshold, opt.breaker_cooldown});
   PlanCache cache(opt.plan_cache_capacity);
 
-  // Speculative host-parallel simulation of every request's first attempt.
-  // Each attempt is schedule-independent, so the only cost of speculation
-  // is wall-clock wasted on requests admission later rejects; the serial
-  // event loop below consumes these results and stays bit-identical to the
-  // threads == 1 run.
-  std::vector<std::optional<Attempt>> first_attempt(requests.size());
+  // Speculative host-parallel simulation (threads > 1) of the first attempt
+  // of every faulty request and of the first request, in submission order,
+  // of every clean memo key; the memo answers the other clean requests, so
+  // simulating them would only burn host time. Each attempt is
+  // schedule-independent, so speculation wastes at most the wall-clock of
+  // requests admission later rejects. The serial event loop below alone
+  // decides memo hits and consumes these results, staying bit-identical to
+  // the threads == 1 run.
+  std::vector<std::optional<Attempt>> speculated(requests.size());
+  std::map<MemoKey, std::size_t> speculated_key;  // clean key -> request
   if (opt.threads > 1 && !requests.empty()) {
     ThreadPool pool(opt.threads);
+    std::vector<std::optional<ServicePlan>> plans(requests.size());
     pool.parallel_for(requests.size(), [&](std::size_t i) {
       const TenantRequest& req = requests[i];
       if (req.n == 0 || req.p == 0) return;
       if (!req.algo.empty() && !default_registry().contains(req.algo)) return;
-      const ServicePlan plan = resolve_plan(req, machine[i]);
-      if (!plan.applicable) return;
-      first_attempt[i] = simulate_attempt(req, machine[i], plan,
-                                          deadline_for(req, plan, opt), 0);
+      ServicePlan plan = resolve_plan(req, machine[i]);
+      if (plan.applicable) plans[i] = std::move(plan);
+    });
+    std::vector<std::size_t> work;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (!plans[i]) continue;
+      const TenantRequest& req = requests[i];
+      if (req.faults ||
+          speculated_key
+              .try_emplace(memo_key(req, *plans[i],
+                                    deadline_for(req, *plans[i], opt)),
+                           i)
+              .second) {
+        work.push_back(i);
+      }
+    }
+    pool.parallel_for(work.size(), [&](std::size_t w) {
+      const std::size_t i = work[w];
+      const TenantRequest& req = requests[i];
+      speculated[i] = simulate_attempt(req, machine[i], *plans[i],
+                                       deadline_for(req, *plans[i], opt), 0);
     });
   }
 
+  // Result memo (DESIGN.md §11): clean attempts by MemoKey. Faulty requests
+  // always simulate, even under a plan that injects nothing.
+  std::map<MemoKey, Attempt> memo;
   auto run_attempt = [&](std::size_t i, unsigned attempt) -> Attempt {
-    if (attempt == 0 && first_attempt[i]) return *first_attempt[i];
-    return simulate_attempt(requests[i], machine[i], state[i].plan,
-                            state[i].deadline, attempt);
-  };
-
-  auto latency_hist = [&](const std::string& tenant) -> Histogram& {
-    return report.metrics.histogram("serve.latency." + tenant,
-                                    Histogram::pow2_bounds(44));
+    const TenantRequest& req = requests[i];
+    const Pending& st = state[i];
+    if (req.faults) {
+      ++report.simulated_attempts;
+      if (attempt == 0 && speculated[i]) return *speculated[i];
+      return simulate_attempt(req, machine[i], st.plan, st.deadline, attempt);
+    }
+    MemoKey key = memo_key(req, st.plan, st.deadline);
+    if (const auto hit = memo.find(key); hit != memo.end()) return hit->second;
+    ++report.simulated_attempts;
+    // Whichever request of this key dispatches first takes the speculated
+    // result, even when it is not the one speculation ran for.
+    const auto spec = speculated_key.find(key);
+    Attempt out = spec != speculated_key.end()
+                      ? std::move(*speculated[spec->second])
+                      : simulate_attempt(req, machine[i], st.plan, st.deadline,
+                                         attempt);
+    memo.emplace(std::move(key), out);
+    return out;
   };
 
   // Windowed per-tenant observability (DESIGN.md §13). Everything below —
   // series observations, journal appends, breaker-transition detection —
   // happens only in the serial event loop, so the journal, the series and
   // the report stay byte-identical for every host thread count.
-  auto series = [&](const std::string& tenant, const char* what)
-      -> TimeSeries& {
-    return report.metrics.series("serve.series." + tenant + "." + what,
-                                 opt.window);
+  auto tenant_state = [&](std::size_t i) -> TenantState& {
+    return tenants[tenant_of[i]];
   };
-  auto latency_series = [&](const std::string& tenant) -> TimeSeries& {
-    return report.metrics.series("serve.series." + tenant + ".latency",
+  auto series = [&](std::size_t i, Series what) -> TimeSeries& {
+    TenantState& t = tenant_state(i);
+    TimeSeries*& s = t.series[static_cast<std::size_t>(what)];
+    if (s == nullptr) {
+      s = &report.metrics.series(
+          "serve.series." + *t.name + "." +
+              kSeriesNames[static_cast<std::size_t>(what)],
+          opt.window);
+    }
+    return *s;
+  };
+  auto latency_series = [&](std::size_t i) -> TimeSeries& {
+    TenantState& t = tenant_state(i);
+    if (t.latency_series == nullptr) {
+      t.latency_series =
+          &report.metrics.series("serve.series." + *t.name + ".latency",
                                  opt.window, Histogram::pow2_bounds(44));
+    }
+    return *t.latency_series;
+  };
+  auto latency_hist = [&](std::size_t i) -> Histogram& {
+    TenantState& t = tenant_state(i);
+    if (t.latency_hist == nullptr) {
+      t.latency_hist = &report.metrics.histogram("serve.latency." + *t.name,
+                                                 Histogram::pow2_bounds(44));
+    }
+    return *t.latency_hist;
   };
 
   EventJournal& journal = report.journal;
@@ -282,18 +395,16 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
   // (open / close happen there) and at every arrival (the open -> half-open
   // cooldown expiry is lazy — it becomes visible when the next arrival
   // observes the breaker).
-  std::map<std::string, CircuitBreaker::State> breaker_seen;
-  auto journal_breaker = [&](const std::string& tenant, double now) {
-    const CircuitBreaker* b = admission.breaker(tenant);
+  auto journal_breaker = [&](std::size_t i, double now) {
+    TenantState& t = tenant_state(i);
+    const CircuitBreaker* b = admission.breaker(*t.name);
     if (b == nullptr) return;
     const CircuitBreaker::State st = b->state(now);
-    const auto it = breaker_seen.emplace(tenant, CircuitBreaker::State::kClosed)
-                        .first;
-    if (st == it->second) return;
-    it->second = st;
+    if (st == t.breaker_seen) return;
+    t.breaker_seen = st;
     JournalEvent e;
     e.time = now;
-    e.tenant = tenant;
+    e.tenant = *t.name;
     switch (st) {
       case CircuitBreaker::State::kOpen:
         e.kind = JournalKind::kBreakerOpen;
@@ -347,9 +458,9 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
       case ServeOutcome::kRejectedQuota: ++ts.rejected_quota; break;
     }
     if (is_rejection(outcome)) report.metrics.counter("serve.rejected").add();
-    series(req.tenant, "finals").observe(now, 1.0);
+    series(i, Series::kFinals).observe(now, 1.0);
     if (outcome != ServeOutcome::kOk) {
-      series(req.tenant, "errors").observe(now, 1.0);
+      series(i, Series::kErrors).observe(now, 1.0);
     }
     if (is_rejection(outcome)) {
       JournalEvent e = jot(now, reject_kind(outcome), i);
@@ -360,14 +471,14 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
     }
     rec.latency = now - req.arrival;
     admission.on_final(req.tenant, now, outcome == ServeOutcome::kOk);
-    series(req.tenant, "in_flight")
+    series(i, Series::kInFlight)
         .observe(now,
                  static_cast<double>(admission.tenant_in_flight(req.tenant)));
     if (outcome == ServeOutcome::kOk) {
       ts.ok_latency_sum += rec.latency;
-      latency_hist(req.tenant).observe(rec.latency);
-      series(req.tenant, "ok").observe(now, 1.0);
-      latency_series(req.tenant).observe(now, rec.latency);
+      latency_hist(i).observe(rec.latency);
+      series(i, Series::kOk).observe(now, 1.0);
+      latency_series(i).observe(now, rec.latency);
     }
     if (outcome == ServeOutcome::kDeadlineExceeded) {
       JournalEvent e = jot(now, JournalKind::kDeadlineAbort, i);
@@ -387,7 +498,7 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
     e.cause = to_string(outcome);
     e.detail = detail;
     journal.append(std::move(e));
-    journal_breaker(req.tenant, now);
+    journal_breaker(i, now);
   };
 
   // Ready-to-serve queues, one per tenant, drained round-robin in tenant
@@ -435,7 +546,7 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
       Pending& st = state[i];
       if (st.attempts == 0) records[i].start = now;
       records[i].slot = static_cast<std::int64_t>(slot);
-      series(requests[i].tenant, "queue_depth")
+      series(i, Series::kQueueDepth)
           .observe(now,
                    static_cast<double>(ready[requests[i].tenant].size()));
       JournalEvent e = jot(now, JournalKind::kDispatch, i);
@@ -473,7 +584,7 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
         TenantStats& ts = report.tenants[req.tenant];
         ++ts.submitted;
         report.metrics.counter("serve.submitted").add();
-        series(req.tenant, "arrivals").observe(now, 1.0);
+        series(i, Series::kArrivals).observe(now, 1.0);
         journal.append(jot(now, JournalKind::kArrival, i));
         if (req.n == 0 || req.p == 0) {
           finalize(i, now, ServeOutcome::kRejectedInvalid,
@@ -514,7 +625,7 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
         }
         // Observe the breaker before the admission decision so an open ->
         // half-open cooldown expiry is journaled ahead of the probe admit.
-        journal_breaker(req.tenant, now);
+        journal_breaker(i, now);
         const ServeOutcome admitted = admission.try_admit(req.tenant, now);
         if (admitted != ServeOutcome::kOk) {
           finalize(i, now, admitted, "admission rejected the request");
@@ -532,18 +643,18 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
           e.cause = st.plan.algorithm;
           journal.append(std::move(e));
         }
-        series(req.tenant, "in_flight")
+        series(i, Series::kInFlight)
             .observe(now, static_cast<double>(
                               admission.tenant_in_flight(req.tenant)));
         ready[req.tenant].push_back(i);
-        series(req.tenant, "queue_depth")
+        series(i, Series::kQueueDepth)
             .observe(now, static_cast<double>(ready[req.tenant].size()));
         dispatch(now);
         break;
       }
       case EventKind::kRetry: {
         ready[req.tenant].push_back(i);
-        series(req.tenant, "queue_depth")
+        series(i, Series::kQueueDepth)
             .observe(now, static_cast<double>(ready[req.tenant].size()));
         dispatch(now);
         break;
@@ -560,7 +671,7 @@ ServeReport Server::run(std::vector<TenantRequest> requests) const {
           TenantStats& ts = report.tenants[req.tenant];
           ++ts.retries;
           report.metrics.counter("serve.retries").add();
-          series(req.tenant, "retries").observe(now, 1.0);
+          series(i, Series::kRetries).observe(now, 1.0);
           const double backoff =
               opt.backoff_base *
               std::pow(opt.backoff_factor,

@@ -101,6 +101,11 @@ struct ServeReport {
   /// One verdict per tenant with an objective (options.slos); empty when no
   /// SLO was configured.
   std::vector<SloVerdict> slo;
+  /// Host-side: service attempts the event loop took from a simulation
+  /// rather than from the result memo (every faulty attempt plus one per
+  /// distinct clean key — DESIGN.md §11 "Result memo"). Identical for every
+  /// host thread count and, like EngineTelemetry, never serialized.
+  std::uint64_t simulated_attempts = 0;
 
   /// Bucket-interpolated latency quantile of the tenant's completed
   /// requests; 0 when the tenant completed none.
@@ -130,10 +135,14 @@ struct ServeReport {
 /// by the simulator, and seeded exponential-backoff retries when ABFT
 /// detects uncorrected corruption or a processor fail-stops.
 ///
+/// A clean attempt (no fault plan) is a pure function of its formulation,
+/// shape, machine and deadline, so each run keeps a result memo: repeats of
+/// a clean key reuse the first attempt's outcome instead of re-simulating.
 /// Every attempt's simulation is schedule-independent (it runs on its own
-/// SimMachine), so with threads > 1 the server speculatively simulates
-/// first attempts in parallel on a host thread pool; the event loop itself
-/// stays serial, making reports bit-identical for every thread count.
+/// SimMachine), so with threads > 1 the server speculatively simulates, in
+/// parallel on a host thread pool, the first attempts of faulty requests and
+/// one request per clean key; the event loop itself stays serial and alone
+/// decides memo hits, making reports bit-identical for every thread count.
 class Server {
  public:
   explicit Server(ServeOptions options);

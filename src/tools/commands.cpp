@@ -208,6 +208,18 @@ AlgorithmChoice algorithm_from_args(const CliArgs& args,
   return choice;
 }
 
+/// `run`/`profile`: finite --ts/--tw can still overflow T_p to inf (e.g.
+/// --ts=1e308 times a handful of startups), which would print inf and a NaN
+/// ratio. Checked once after the run, never in the simulator's hot path.
+void require_finite_t_parallel(const std::string& command, double simulated,
+                               double model) {
+  require(std::isfinite(simulated) && std::isfinite(model), [&] {
+    return command + ": T_p is not finite (simulated " +
+           format_number(simulated, 6) + ", model " + format_number(model, 6) +
+           "); --ts/--tw are too large for double-precision time";
+  });
+}
+
 }  // namespace
 
 MachineParams machine_from_args(const CliArgs& args) {
@@ -309,6 +321,7 @@ int cmd_run(const CliArgs& args, std::ostream& os) {
   const auto pt = validate_algorithm(
       *choice.impl, *choice.model, n, p,
       static_cast<std::uint64_t>(args.get_int("seed", 42)));
+  require_finite_t_parallel("run", pt.sim_t_parallel, pt.model_t_parallel);
   write_metrics_out(args, os, "run",
                     [&pt](std::ostream& s, MetricsExportFormat format) {
                       write_metrics(pt.report.metrics, format, s);
@@ -576,6 +589,9 @@ int cmd_profile(const CliArgs& args, std::ostream& os) {
   enable_kernel_wall_profile(false);
   const KernelWallProfile kwp = kernel_wall_profile();
   const RunReport& report = result.report;
+  require_finite_t_parallel(
+      "profile", report.t_parallel,
+      choice.model->t_parallel(static_cast<double>(n), static_cast<double>(p)));
 
   // Per-phase table: busy-time maxima over processors, traffic totals, and
   // the slice of the critical path each phase accounts for (slices sum to

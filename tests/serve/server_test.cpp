@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "serve/script.hpp"
@@ -371,6 +373,105 @@ TEST(Server, PlanCacheGaugesSurfaceInMetrics) {
       report.metrics.find_gauge("serve.plan_cache.capacity")->value(), 8.0);
   EXPECT_DOUBLE_EQ(
       report.metrics.find_gauge("serve.plan_cache.hit_rate")->value(), 0.5);
+}
+
+/// Exact memo gate (DESIGN.md §11 "Result memo"): the serial loop
+/// simulates once per distinct clean key among dispatched requests and once
+/// per dispatched attempt of a faulty request — nothing else — at every host
+/// thread count.
+TEST(Server, SimulatedAttemptsCountDistinctCleanKeysPlusFaultyAttempts) {
+  WorkloadOptions wl;
+  wl.requests = 120;
+  wl.tenants = 4;
+  wl.seed = 11;
+  wl.mean_gap = 4000.0;
+  wl.fault_fraction = 0.3;
+  std::vector<TenantRequest> reqs = generate_workload(wl);
+  // Detect-only faulty requests retry; a 0.9x deadline on some clean ones
+  // aborts them and splits their class into a second memo key.
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (reqs[i].faults && i % 2 == 0) {
+      reqs[i].faults = corrupting_plan(reqs[i].faults->seed, 0.01);
+    } else if (!reqs[i].faults && i % 7 == 0) {
+      reqs[i].deadline_factor = 0.9;
+    }
+  }
+  ServeOptions opt;
+  opt.seed = 11;
+  opt.deadline_factor = 3.0;
+
+  const ServeReport serial = Server(opt).run(reqs);
+  std::set<std::tuple<std::string, std::size_t, std::size_t, std::string,
+                      double>>
+      clean_keys;
+  std::uint64_t faulty_attempts = 0, retries = 0, aborts = 0;
+  for (const RequestRecord& rec : serial.requests) {
+    if (rec.attempts == 0) continue;
+    if (rec.request.faults) {
+      faulty_attempts += rec.attempts;
+    } else {
+      clean_keys.emplace(rec.algorithm, rec.request.n, rec.request.p,
+                         rec.request.machine, rec.deadline);
+    }
+    if (rec.attempts > 1) ++retries;
+    if (rec.outcome == ServeOutcome::kDeadlineExceeded) ++aborts;
+  }
+  ASSERT_GT(retries, 0u);
+  ASSERT_GT(aborts, 0u);
+  ASSERT_GT(faulty_attempts, 0u);
+  EXPECT_EQ(serial.simulated_attempts, clean_keys.size() + faulty_attempts);
+  EXPECT_LT(serial.simulated_attempts, reqs.size());
+
+  ServeOptions threaded = opt;
+  threaded.threads = 3;
+  const ServeReport parallel = Server(threaded).run(reqs);
+  EXPECT_EQ(parallel.simulated_attempts, serial.simulated_attempts);
+  EXPECT_EQ(json_of(parallel), json_of(serial));
+  EXPECT_EQ(parallel.journal.jsonl(), serial.journal.jsonl());
+}
+
+/// Speculation simulates one request per clean key, and the serial loop
+/// answers the other 199 identical requests from the memo at any thread
+/// count.
+TEST(Server, IdenticalCleanStreamSimulatesOnceAtAnyThreadCount) {
+  std::vector<TenantRequest> reqs;
+  for (int i = 0; i < 200; ++i) {
+    reqs.push_back(clean_request(2000.0 * i, i % 2 ? "a" : "b"));
+  }
+  ServeOptions opt;
+  opt.queue_capacity = 256;
+  opt.tenant_quota = 256;
+  const ServeReport serial = Server(opt).run(reqs);
+  ServeOptions threaded = opt;
+  threaded.threads = 4;
+  const ServeReport parallel = Server(threaded).run(reqs);
+  EXPECT_EQ(serial.simulated_attempts, 1u);
+  EXPECT_EQ(parallel.simulated_attempts, 1u);
+  EXPECT_EQ(json_of(parallel), json_of(serial));
+  EXPECT_EQ(parallel.journal.jsonl(), serial.journal.jsonl());
+  for (const RequestRecord& rec : serial.requests) {
+    EXPECT_EQ(rec.outcome, ServeOutcome::kOk);
+    EXPECT_EQ(rec.service_time, serial.requests[0].service_time);
+  }
+}
+
+/// Any fault plan opts a request out of the memo, even one that injects
+/// nothing: its attempts always simulate.
+TEST(Server, FaultPlanThatInjectsNothingAlwaysSimulates) {
+  std::vector<TenantRequest> reqs;
+  for (int i = 0; i < 3; ++i) {
+    TenantRequest req = clean_request(50000.0 * i);
+    req.faults = std::make_shared<FaultPlan>();
+    reqs.push_back(req);
+  }
+  reqs.push_back(clean_request(150000.0));
+  reqs.push_back(clean_request(200000.0));
+  const ServeReport report = Server(ServeOptions{}).run(reqs);
+  EXPECT_EQ(report.simulated_attempts, 4u);  // 3 faulty + 1 clean key
+  for (const RequestRecord& rec : report.requests) {
+    EXPECT_EQ(rec.outcome, ServeOutcome::kOk);
+    EXPECT_EQ(rec.service_time, report.requests[0].service_time);
+  }
 }
 
 TEST(Server, InvalidOptionsAreRejected) {

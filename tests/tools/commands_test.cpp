@@ -316,6 +316,31 @@ TEST(Cli, NonFiniteOrNegativeMachineParamsExitOne) {
             0);
 }
 
+TEST(Cli, OverflowingTpExitsOneNamingTheCostFlags) {
+  // Finite but huge costs overflow T_p to inf; run used to exit 0 printing
+  // "T_p (simulated) = inf" and "ratio -nan".
+  for (const char* cmd : {"run", "profile"}) {
+    for (const char* flag : {"--ts=1e308", "--tw=1e308"}) {
+      const auto r =
+          run({"hpmm", cmd, "--algo=gk", "--n=32", "--p=64", flag});
+      EXPECT_EQ(r.code, 1) << cmd << " " << flag;
+      EXPECT_NE(r.err.find("T_p is not finite"), std::string::npos)
+          << cmd << " " << flag << ": " << r.err;
+      EXPECT_NE(r.err.find("--ts/--tw"), std::string::npos)
+          << cmd << " " << flag << ": " << r.err;
+      EXPECT_TRUE(r.out.empty()) << cmd << " " << flag << ": " << r.out;
+    }
+  }
+  EXPECT_EQ(run({"hpmm", "run", "--algo=gk", "--n=32", "--p=64",
+                 "--format=json", "--tw=1e308"})
+                .code,
+            1);
+  // Large costs that keep T_p finite still run.
+  EXPECT_EQ(
+      run({"hpmm", "run", "--algo=gk", "--n=32", "--p=64", "--ts=1e300"}).code,
+      0);
+}
+
 TEST(Cli, ExhaustedRetryBudgetIsAnInternalError) {
   // drop=1 with a tiny retry budget exhausts the reliable protocol, which is
   // an InternalError (bug-or-misconfiguration), mapped to exit 2.
