@@ -7,7 +7,9 @@ Four kinds of input:
           (scenario, threads) and the gated metric is req_per_sec. The
           current run must also report deterministic=true on every point —
           a byte-level divergence across host threads fails the gate even
-          if throughput held.
+          if throughput held — and, where the baseline records it, exactly
+          the baseline's simulated_attempts: the result memo makes that
+          count deterministic, so losing the memo fails on any host.
   sim     BENCH_sim.json written by bench/sim_extreme (google-benchmark
           JSON): points are keyed by benchmark name and the gated metric is
           the events_per_sec counter.
@@ -152,6 +154,13 @@ def main():
             failures.append(key)
             print(f"  {key}: deterministic=false — serve output diverged "
                   "across host threads")
+        if args.kind == "serve" and "simulated_attempts" in base[key]:
+            want = base[key]["simulated_attempts"]
+            got = cur[key].get("simulated_attempts")
+            if got != want:
+                failures.append(key)
+                print(f"  {key}: simulated_attempts {want} -> {got} — an "
+                      "exact count, not a throughput")
 
     if args.kind == "causal":
         # Machine-relative overhead bound: at every p present in the current
@@ -179,8 +188,8 @@ def main():
               "were not compared")
     if failures:
         print(f"compare_bench: {len(failures)} point(s) regressed more than "
-              f"{args.tolerance * 100:.0f}% (or lost determinism) vs "
-              f"{args.baseline}", file=sys.stderr)
+              f"{args.tolerance * 100:.0f}% (or lost determinism or an exact "
+              f"count) vs {args.baseline}", file=sys.stderr)
         return 1
     print(f"compare_bench: {len(shared)} point(s) within "
           f"{args.tolerance * 100:.0f}% of baseline")

@@ -41,6 +41,15 @@ void BM_TransposedB(benchmark::State& s) {
 }
 void BM_Packed(benchmark::State& s) { BM_SerialKernel(s, Kernel::kPacked); }
 
+// The default ExecPolicy kernel at a serve-sized block (8) and at the
+// coarse-grain block (64). The label names the micro-kernel path this CPU
+// took (avx512, avx2 or scalar), so a result file shows which one ran.
+void BM_Default(benchmark::State& s) {
+  s.SetLabel(detail::to_string(detail::packed_path()));
+  BM_SerialKernel(s, ExecPolicy{}.kernel);
+}
+BENCHMARK(BM_Default)->Arg(8)->Arg(64);
+
 // n=512 on the two ends of the zoo gives the headline packed-vs-naive ratio.
 BENCHMARK(BM_NaiveIjk)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 BENCHMARK(BM_CacheIkj)->Arg(64)->Arg(128)->Arg(256)->Arg(512);

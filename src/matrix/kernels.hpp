@@ -12,14 +12,16 @@ class ThreadPool;  // util/thread_pool.hpp
 /// Local matrix-multiply kernel variants. All compute C (+)= A * B with the
 /// conventional O(n^3) algorithm — the paper considers only this algorithm
 /// (Section 2, footnote 1). Every kernel accumulates each C element in
-/// strictly increasing k order, so all of them (and any thread count) agree
-/// bit-for-bit apart from compiler-level FMA contraction differences.
+/// strictly increasing k order. cache-ikj, blocked and packed update it as
+/// c = c + a*b at every k (no FMA), so they agree bit-for-bit with each
+/// other and across thread counts; naive-ijk and transposed-b sum the dot
+/// product first and add it to C once.
 enum class Kernel : std::uint8_t {
   kNaiveIjk,     ///< textbook triple loop, i-j-k order
   kCacheIkj,     ///< i-k-j order: unit-stride inner loop over B and C rows
   kBlocked,      ///< square tiling for cache reuse, ikj inside tiles
   kTransposedB,  ///< multiplies against an explicit transpose of B
-  kPacked        ///< register-blocked micro-kernel over packed B panels
+  kPacked        ///< register-blocked SIMD micro-kernel over packed B panels
 };
 
 /// Human-readable kernel name ("naive-ijk", ...).
@@ -33,7 +35,7 @@ Kernel kernel_from_string(const std::string& name);
 /// multiply-adds and how many host threads drive them. Purely a wall-clock
 /// concern — simulated virtual time never depends on it.
 struct ExecPolicy {
-  Kernel kernel = Kernel::kCacheIkj;
+  Kernel kernel = Kernel::kPacked;
   unsigned threads = 1;  ///< host threads for local numerics (>= 1)
 };
 
@@ -44,11 +46,11 @@ struct ExecPolicy {
 /// exactly one thread and accumulated in the same k order). Other kernels
 /// ignore the pool.
 void multiply_add(const Matrix& a, const Matrix& b, Matrix& c,
-                  Kernel kernel = Kernel::kCacheIkj, ThreadPool* pool = nullptr);
+                  Kernel kernel = Kernel::kPacked, ThreadPool* pool = nullptr);
 
 /// Returns A * B (freshly allocated) using the requested kernel.
 Matrix multiply(const Matrix& a, const Matrix& b,
-                Kernel kernel = Kernel::kCacheIkj, ThreadPool* pool = nullptr);
+                Kernel kernel = Kernel::kPacked, ThreadPool* pool = nullptr);
 
 /// Number of useful multiply-add operations for an (m x k) * (k x n) product;
 /// this is the paper's unit of "problem size" W (one mult + one add = 1).
@@ -56,12 +58,6 @@ std::uint64_t matmul_flops(std::size_t m, std::size_t k, std::size_t n) noexcept
 
 /// Tile edge used by Kernel::kBlocked.
 inline constexpr std::size_t kBlockedTile = 32;
-
-/// Register micro-tile of Kernel::kPacked: each micro-kernel call keeps an
-/// MR x NR accumulator block in registers (sized for 4 x 8 doubles = one
-/// AVX2 register file with room for operands).
-inline constexpr std::size_t kPackedMR = 4;
-inline constexpr std::size_t kPackedNR = 8;
 
 /// Cache-level tile sizes of Kernel::kPacked. The numerical result is
 /// independent of these (accumulation order per C element is always plain
@@ -74,6 +70,8 @@ struct PackedTuning {
 /// Process-wide tuning used by Kernel::kPacked. The first call (unless
 /// set_packed_tuning was used) runs a small autotuner: each candidate tile
 /// pair multiplies a probe matrix and the fastest wins. Thread-safe.
+/// Serial products with k <= 64 never consult it: they are one panel under
+/// every candidate.
 PackedTuning packed_tuning();
 
 /// Pin the process-wide packed tuning (tests, benchmark sweeps); overrides
@@ -87,7 +85,8 @@ PackedTuning autotune_packed(std::size_t probe_n = 192);
 /// Host wall-clock profile of Kernel::kPacked invocations — the real time
 /// the micro-kernel spent, as opposed to the simulator's virtual charges.
 struct KernelWallProfile {
-  std::uint64_t calls = 0;  ///< packed multiply_add invocations
+  std::uint64_t calls = 0;  ///< packed multiply_add calls that ran the
+                            ///< micro-kernel (not the below-one-tile ones)
   double seconds = 0.0;     ///< steady_clock wall time inside them
 };
 
@@ -98,4 +97,31 @@ void enable_kernel_wall_profile(bool on) noexcept;
 KernelWallProfile kernel_wall_profile() noexcept;
 void reset_kernel_wall_profile() noexcept;
 
+namespace detail {
+
+/// Internal, not public API: the micro-kernel paths of Kernel::kPacked, so
+/// tests can check each path on one host and benchmarks can name the one
+/// that ran. Ordered by width; a CPU that runs a path runs every narrower.
+enum class PackedPath : std::uint8_t {
+  kScalar,  ///< portable C++, 4 x 8 tiles (any CPU, any build)
+  kAvx2,    ///< x86-64 AVX2, 4 x 8 tiles
+  kAvx512   ///< x86-64 AVX-512F, 8 x 8 tiles
+};
+
+/// The path Kernel::kPacked takes in this process: the widest the CPU
+/// supports, detected once.
+PackedPath packed_path() noexcept;
+
+/// Whether this CPU and build can run `path` (kScalar always can).
+bool packed_path_supported(PackedPath path) noexcept;
+
+/// "scalar", "avx2" or "avx512".
+const char* to_string(PackedPath path) noexcept;
+
+/// multiply_add with Kernel::kPacked on the given path. Throws
+/// PreconditionError for bad shapes or a path this CPU cannot run.
+void multiply_add_packed(const Matrix& a, const Matrix& b, Matrix& c,
+                         PackedPath path, ThreadPool* pool = nullptr);
+
+}  // namespace detail
 }  // namespace hpmm

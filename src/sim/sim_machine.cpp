@@ -20,7 +20,8 @@ SimMachine::SimMachine(std::shared_ptr<const Topology> topology,
   if (params_.exec.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(params_.exec.threads);
   }
-  const std::size_t p = topology_->size();
+  procs_ = topology_->size();
+  const std::size_t p = procs_;
   stats_.resize(p);
   inbox_head_.assign(p, kNilSlot);
   inbox_tail_.assign(p, kNilSlot);

@@ -62,7 +62,7 @@ class SimMachine {
   SimMachine(SimMachine&&) noexcept;
   SimMachine& operator=(SimMachine&&) noexcept;
 
-  std::size_t procs() const noexcept { return topology_->size(); }
+  std::size_t procs() const noexcept { return procs_; }
   const Topology& topology() const noexcept { return *topology_; }
   const MachineParams& params() const noexcept { return params_; }
 
@@ -273,6 +273,8 @@ class SimMachine {
   }
 
   std::shared_ptr<const Topology> topology_;
+  /// topology_->size(), cached: every pid check calls procs().
+  std::size_t procs_ = 0;
   MachineParams params_;
   /// Host threads for local numerics; non-null only when exec.threads > 1.
   std::unique_ptr<ThreadPool> pool_;

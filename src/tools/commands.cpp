@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -208,15 +209,17 @@ AlgorithmChoice algorithm_from_args(const CliArgs& args,
   return choice;
 }
 
-/// `run`/`profile`: finite --ts/--tw can still overflow T_p to inf (e.g.
-/// --ts=1e308 times a handful of startups), which would print inf and a NaN
-/// ratio. Checked once after the run, never in the simulator's hot path.
+/// `run`/`profile`/`inject`: finite --ts/--tw can still overflow T_p to inf
+/// (e.g. --ts=1e308 times a handful of startups), which would print inf and
+/// a NaN ratio. Checked once after the run, never in the simulator's hot
+/// path. `inject` has no model prediction to check.
 void require_finite_t_parallel(const std::string& command, double simulated,
-                               double model) {
-  require(std::isfinite(simulated) && std::isfinite(model), [&] {
-    return command + ": T_p is not finite (simulated " +
-           format_number(simulated, 6) + ", model " + format_number(model, 6) +
-           "); --ts/--tw are too large for double-precision time";
+                               std::optional<double> model = std::nullopt) {
+  require(std::isfinite(simulated) && (!model || std::isfinite(*model)), [&] {
+    std::string text = command + ": T_p is not finite (simulated " +
+                       format_number(simulated, 6);
+    if (model) text += ", model " + format_number(*model, 6);
+    return text + "); --ts/--tw are too large for double-precision time";
   });
 }
 
@@ -805,6 +808,7 @@ int cmd_inject(const CliArgs& args, std::ostream& os) {
   const Matrix b = random_matrix(n, n, rng);
 
   const ResilientRun run = run_resilient(a, b, p, mp, algorithm);
+  require_finite_t_parallel("inject", run.result.report.t_parallel);
 
   const Matrix reference = multiply(a, b);
   double max_err = 0.0;
@@ -1120,7 +1124,7 @@ int dispatch(const CliArgs& args, std::ostream& os, std::ostream& err) {
            "--ts=.. --tw=..\n"
            "cannon25d: --c=<replication factor> (power of two, default 2)\n"
            "local compute: --kernel=naive-ijk|cache-ikj|blocked|transposed-b|"
-           "packed --threads=N\n"
+           "packed (default packed) --threads=N\n"
            "               (host wall-clock only; simulated times are "
            "unaffected)\n"
            "output: --format=aligned|csv|markdown|json (run/serve "

@@ -7,8 +7,6 @@
 
 namespace hpmm {
 
-bool is_pow2(std::uint64_t x) noexcept { return x != 0 && (x & (x - 1)) == 0; }
-
 bool is_pow8(std::uint64_t x) noexcept {
   return is_pow2(x) && std::countr_zero(x) % 3 == 0;
 }
@@ -72,10 +70,6 @@ std::uint64_t inverse_gray_code(std::uint64_t g) noexcept {
   std::uint64_t i = g;
   for (unsigned shift = 1; shift < 64; shift <<= 1) i ^= i >> shift;
   return i;
-}
-
-unsigned popcount64(std::uint64_t x) noexcept {
-  return static_cast<unsigned>(std::popcount(x));
 }
 
 std::vector<std::uint64_t> pow2_range(std::uint64_t lo, std::uint64_t hi) {

@@ -1,12 +1,17 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 namespace hpmm {
 
-/// True iff x is a power of two (0 is not).
-bool is_pow2(std::uint64_t x) noexcept;
+/// True iff x is a power of two (0 is not). Inline: topology and collective
+/// hot paths call it per message. Not std::has_single_bit, which libstdc++
+/// builds on popcount: a libgcc call on baseline x86-64.
+constexpr bool is_pow2(std::uint64_t x) noexcept {
+  return x != 0 && (x & (x - 1)) == 0;
+}
 
 /// True iff x is a power of eight, i.e. x = 2^{3q} (the processor counts
 /// accepted by the GK, Berntsen and DNS formulations).
@@ -40,8 +45,10 @@ std::uint64_t gray_code(std::uint64_t i) noexcept;
 /// Inverse of gray_code: g == gray_code(inverse_gray_code(g)).
 std::uint64_t inverse_gray_code(std::uint64_t g) noexcept;
 
-/// Number of set bits.
-unsigned popcount64(std::uint64_t x) noexcept;
+/// Number of set bits. Inline: Hypercube::hops calls it per message.
+constexpr unsigned popcount64(std::uint64_t x) noexcept {
+  return static_cast<unsigned>(std::popcount(x));
+}
 
 /// All powers of two in [lo, hi], ascending.
 std::vector<std::uint64_t> pow2_range(std::uint64_t lo, std::uint64_t hi);

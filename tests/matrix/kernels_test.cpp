@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "matrix/generate.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -153,6 +157,102 @@ TEST(PackedKernel, RectangularAndOddShapes) {
     EXPECT_TRUE(approx_equal(expect, got, 1e-12 * static_cast<double>(k + 1)))
         << m << "x" << k << "x" << n;
   }
+}
+
+/// Every packed path this CPU can run: the scalar one always, plus each
+/// SIMD one it supports.
+std::vector<detail::PackedPath> runnable_paths() {
+  std::vector<detail::PackedPath> paths;
+  for (const detail::PackedPath path :
+       {detail::PackedPath::kScalar, detail::PackedPath::kAvx2,
+        detail::PackedPath::kAvx512}) {
+    if (detail::packed_path_supported(path)) paths.push_back(path);
+  }
+  return paths;
+}
+
+/// C0 + A*B from one packed path against the same product from cache-ikj,
+/// compared with ==: both must round c + a*b twice per k, in increasing k.
+::testing::AssertionResult packed_matches_cache_ikj(
+    const Matrix& a, const Matrix& b, const Matrix& c0,
+    detail::PackedPath path, ThreadPool* pool) {
+  Matrix want = c0;
+  multiply_add(a, b, want, Kernel::kCacheIkj);
+  Matrix got = c0;
+  detail::multiply_add_packed(a, b, got, path, pool);
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      if (!(got(i, j) == want(i, j))) {
+        return ::testing::AssertionFailure()
+               << detail::to_string(path) << (pool ? " pooled " : " serial ")
+               << a.rows() << "x" << a.cols() << " * " << b.rows() << "x"
+               << b.cols() << ": C(" << i << "," << j << ") = " << got(i, j)
+               << ", cache-ikj " << want(i, j);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PackedKernel, EveryPathBitIdenticalToCacheIkj) {
+  // Small kc and mc so k = 65 and 100 span several panels (serial products
+  // no deeper than 64 are one panel under any tuning) and the pool splits
+  // even 9-row products.
+  const PackedTuning saved = packed_tuning();
+  set_packed_tuning({32, 8});
+  const std::size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 17, 33, 63, 64, 65, 100};
+  ThreadPool pool(4);
+  Rng rng(41);
+  for (const detail::PackedPath path : runnable_paths()) {
+    for (const std::size_t m : sizes) {
+      for (const std::size_t k : sizes) {
+        for (const std::size_t n : sizes) {
+          const Matrix a = random_matrix(m, k, rng);
+          const Matrix b = random_matrix(k, n, rng);
+          const Matrix c0 = random_matrix(m, n, rng, -4.0, 4.0);
+          ASSERT_TRUE(packed_matches_cache_ikj(a, b, c0, path, nullptr));
+          ASSERT_TRUE(packed_matches_cache_ikj(a, b, c0, path, &pool));
+        }
+      }
+    }
+  }
+  set_packed_tuning(saved);
+}
+
+TEST(PackedKernel, EveryPathBitIdenticalBeyondDefaultPanelDepth) {
+  // k past the largest autotuned kc (256), under the process tuning.
+  ThreadPool pool(4);
+  Rng rng(43);
+  for (const detail::PackedPath path : runnable_paths()) {
+    for (const auto& [m, k, n] :
+         {std::tuple<std::size_t, std::size_t, std::size_t>{9, 300, 17},
+          {64, 513, 40}}) {
+      const Matrix a = random_matrix(m, k, rng);
+      const Matrix b = random_matrix(k, n, rng);
+      const Matrix c0 = random_matrix(m, n, rng, -4.0, 4.0);
+      ASSERT_TRUE(packed_matches_cache_ikj(a, b, c0, path, nullptr));
+      ASSERT_TRUE(packed_matches_cache_ikj(a, b, c0, path, &pool));
+    }
+  }
+}
+
+TEST(PackedKernel, ProcessPathIsRunnableAndNamed) {
+  const detail::PackedPath path = detail::packed_path();
+  EXPECT_TRUE(detail::packed_path_supported(path));
+  EXPECT_TRUE(detail::packed_path_supported(detail::PackedPath::kScalar));
+  const std::string name = detail::to_string(path);
+  EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "avx512") << name;
+  for (const detail::PackedPath p : {detail::PackedPath::kAvx2,
+                                     detail::PackedPath::kAvx512}) {
+    if (detail::packed_path_supported(p)) continue;
+    Matrix c(8, 8);
+    EXPECT_THROW(detail::multiply_add_packed(Matrix(8, 8), Matrix(8, 8), c, p),
+                 PreconditionError);
+  }
+}
+
+TEST(Kernels, DefaultKernelIsPacked) {
+  EXPECT_EQ(ExecPolicy{}.kernel, Kernel::kPacked);
 }
 
 TEST(PackedKernel, AutotuneReturnsCandidateTiles) {

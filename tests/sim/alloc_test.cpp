@@ -17,6 +17,7 @@
 
 #include "core/registry.hpp"
 #include "matrix/generate.hpp"
+#include "matrix/kernels.hpp"
 #include "sim/sim_machine.hpp"
 #include "topology/hypercube.hpp"
 #include "util/error.hpp"
@@ -118,6 +119,25 @@ TEST(AllocationGate, TinyBlocksAndSingleBlockMessagesStayOffTheHeap) {
   EXPECT_EQ(n, 0u);
   // Past Matrix::kInline elements a matrix owns exactly one heap array.
   EXPECT_EQ(allocations_during([] { Matrix big(3, 3, 1.0); }), 1u);
+}
+
+TEST(AllocationGate, DefaultKernelProductsAllocateNothingAfterWarmUp) {
+  // Fine-grain runs and serve requests make millions of 1x1 to 8x8 block
+  // products with the default kernel: below one tile it takes the ikj loop,
+  // above it reuses the thread's packing buffer.
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  Rng rng(3);
+  for (const Shape s : {Shape{1, 1, 1}, Shape{2, 2, 2}, Shape{3, 5, 5},
+                        Shape{8, 8, 8}, Shape{64, 64, 64}}) {
+    const Matrix a = random_matrix(s.m, s.k, rng);
+    const Matrix b = random_matrix(s.k, s.n, rng);
+    Matrix c(s.m, s.n);
+    multiply_add(a, b, c);  // warm-up: sizes the packing buffer
+    EXPECT_EQ(allocations_during([&] { multiply_add(a, b, c); }), 0u)
+        << s.m << "x" << s.k << " * " << s.k << "x" << s.n;
+  }
 }
 
 /// The fine-grain capture configuration: per-phase totals only, no p x p

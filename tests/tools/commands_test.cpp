@@ -341,6 +341,24 @@ TEST(Cli, OverflowingTpExitsOneNamingTheCostFlags) {
       0);
 }
 
+TEST(Cli, InjectOverflowingTpExitsOneNamingTheCostFlags) {
+  // inject used to exit 0 printing "T_p (simulated) = inf".
+  for (const char* flag : {"--ts=1e308", "--tw=1e308"}) {
+    const auto r = run({"hpmm", "inject", "--algorithm=gk", "--n=32",
+                        "--p=64", flag});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("inject: T_p is not finite"), std::string::npos)
+        << flag << ": " << r.err;
+    EXPECT_NE(r.err.find("--ts/--tw"), std::string::npos)
+        << flag << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << flag << ": " << r.out;
+  }
+  EXPECT_EQ(run({"hpmm", "inject", "--algorithm=gk", "--n=32", "--p=64",
+                 "--ts=1e300"})
+                .code,
+            0);
+}
+
 TEST(Cli, ExhaustedRetryBudgetIsAnInternalError) {
   // drop=1 with a tiny retry budget exhausts the reliable protocol, which is
   // an InternalError (bug-or-misconfiguration), mapped to exit 2.
